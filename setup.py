@@ -17,4 +17,6 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.10",
     entry_points={"console_scripts": ["repro=repro.cli:main"]},
+    # what the tier-1 suite imports (CI installs ``.[test]``)
+    extras_require={"test": ["pytest", "hypothesis"]},
 )

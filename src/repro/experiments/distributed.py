@@ -55,7 +55,12 @@ request op     reply op
 =============  ==========================================================
 ``describe``   ``sweep`` — experiment id, preset, wire-encoded params,
                point/shard counts, digest, lease timeout
-``lease``      ``assign`` (shard + indices) / ``wait`` / ``done``
+``lease``      ``assign`` (shard + indices) / ``done`` / ``wait`` —
+               over TCP a lease that would wait is held (long-poll) until
+               a submit or a lease expiry frees a shard or ends the sweep;
+               ``wait`` comes back only after the lease-poll window of
+               ``seconds`` passed with neither, and the worker re-asks at
+               once
 ``heartbeat``  ``ok`` with ``valid`` false once the lease was reassigned
 ``submit``     ``accepted`` (``duplicate`` true when already complete) /
                ``rejected`` with a reason, shard re-queued
@@ -97,8 +102,9 @@ from repro.experiments.registry import (
 )
 from repro.experiments.serialization import decode_wire, encode_wire
 
-#: wire protocol version; bumped on incompatible message changes
-PROTOCOL = 1
+#: wire protocol version; bumped on incompatible message changes (2: the
+#: coordinator long-polls ``lease`` and workers no longer sleep on ``wait``)
+PROTOCOL = 2
 
 #: hard cap on one wire message (a quick-preset shard is a few KiB)
 MAX_MESSAGE_BYTES = 32 * 1024 * 1024
@@ -182,7 +188,7 @@ class _CoordinatorHandler(socketserver.StreamRequestHandler):
         except (OSError, ValueError, UnicodeDecodeError) as error:
             reply: Dict[str, Any] = {"op": "error", "reason": str(error)}
         else:
-            reply = self.server.coordinator.handle(message)
+            reply = self.server.coordinator.long_poll(message)
         try:
             self.wfile.write(json.dumps(reply).encode("utf-8") + b"\n")
         except OSError:
@@ -194,9 +200,14 @@ class ShardCoordinator:
 
     The coordinator owns the pending-shard queue, the outstanding leases,
     and the completed set; every state transition happens under one lock
-    inside :meth:`handle`, which is plain-callable (the fault-harness and
-    property tests drive it directly, with an injected clock) and is what
-    the TCP server invokes per request.  Completed shards are written
+    inside :meth:`handle`, which is plain-callable and never blocks (the
+    fault-harness and property tests drive it directly, with an injected
+    clock).  The TCP server invokes :meth:`long_poll`, which holds a
+    ``lease`` that would get ``wait`` on a condition over that lock; the
+    condition is notified on every change that can unblock a waiter (an
+    accepted submit, a rejected submit that re-queues, an expired lease
+    that re-queues), so workers and :meth:`wait_finished` react to events,
+    not to timers.  Completed shards are written
     through :func:`~repro.experiments.executors.write_checkpoint` into the
     standard run-directory layout, so everything downstream (resume, merge,
     ``repro serve``) is backend-agnostic.
@@ -205,6 +216,10 @@ class ShardCoordinator:
         stats: monotonic counters — ``leases_granted``, ``reassigned``,
             ``accepted``, ``rejected``, ``duplicates``, ``heartbeats`` —
             exposed for tests and operational logging.
+        poll_window: the lease-poll window in seconds,
+            ``min(1, lease_timeout / 4)``: how long :meth:`long_poll` holds
+            a lease that would wait, and the grace a finished executor
+            gives its workers to observe ``done``.
     """
 
     def __init__(
@@ -240,6 +255,7 @@ class ShardCoordinator:
         self._run_dir = Path(run_dir)
         self._plan = shard_indices(len(points), shard_count)
         self._lease_timeout = lease_timeout
+        self.poll_window = min(1.0, lease_timeout / 4)
         self._clock = clock
         self._host = host
         self._port = port
@@ -249,7 +265,7 @@ class ShardCoordinator:
         )
         self._leases: Dict[int, _Lease] = {}
         self._completed = done
-        self._lock = threading.Lock()
+        self._changed = threading.Condition(threading.Lock())
         self.stats: Dict[str, int] = {
             "leases_granted": 0,
             "reassigned": 0,
@@ -319,13 +335,26 @@ class ShardCoordinator:
     @property
     def finished(self) -> bool:
         """True when every shard has a validated checkpoint."""
-        with self._lock:
-            return len(self._completed) == self._shard_count
+        with self._changed:
+            return self._all_done()
+
+    def _all_done(self) -> bool:
+        """Every shard has a validated checkpoint (lock held)."""
+        return len(self._completed) == self._shard_count
+
+    def wait_finished(self, timeout: float) -> bool:
+        """Block until every shard is complete or ``timeout`` seconds pass.
+
+        Wakes on the state condition, so the call returns as soon as the
+        last shard is accepted.  Returns :attr:`finished`.
+        """
+        with self._changed:
+            return self._changed.wait_for(self._all_done, timeout)
 
     @property
     def progress(self) -> Tuple[int, int, int]:
         """Return ``(completed, leased, pending)`` shard counts."""
-        with self._lock:
+        with self._changed:
             return len(self._completed), len(self._leases), len(self._pending)
 
     # -- the protocol ---------------------------------------------------
@@ -366,46 +395,71 @@ class ShardCoordinator:
             "lease_timeout": self._lease_timeout,
         }
 
+    def long_poll(self, message: Mapping[str, Any]) -> Dict[str, Any]:
+        """:meth:`handle`, except that a ``lease`` that would wait blocks.
+
+        What the TCP server calls per request.  A ``lease`` finding every
+        shard leased out waits on the state condition — waking early for
+        the next lease deadline, so an expiry is reaped on time — and is
+        dispatched again after every wake, returning ``assign`` or
+        ``done`` as soon as a submit or an expiry allows.  After one
+        :attr:`poll_window` without either it returns ``wait``.  Deadlines
+        come from the coordinator's clock while the condition sleeps in
+        real seconds, so a served coordinator uses the default clock.
+        """
+        if message.get("op") != "lease":
+            return self.handle(message)
+        worker = str(message.get("worker", "?"))
+        with self._changed:
+            now = self._clock()
+            until = now + self.poll_window
+            reply = self._grant(worker, now)
+            while reply["op"] == "wait" and now < until:
+                wake = min(
+                    [until] + [lease.deadline for lease in self._leases.values()]
+                )
+                self._changed.wait(wake - now)
+                now = self._clock()
+                reply = self._grant(worker, now)
+            return reply
+
     def _reap_expired(self, now: float) -> None:
         """Re-queue every lease whose deadline passed (lock held)."""
-        for shard, lease in list(self._leases.items()):
-            if lease.deadline < now:
-                del self._leases[shard]
-                self._pending.append(shard)
-                self.stats["reassigned"] += 1
-
-    def reap(self) -> None:
-        """Expire overdue leases now (the executor's wait loop calls this)."""
-        with self._lock:
-            self._reap_expired(self._clock())
+        expired = [
+            shard for shard, lease in self._leases.items() if lease.deadline < now
+        ]
+        for shard in expired:
+            del self._leases[shard]
+            self._pending.append(shard)
+            self.stats["reassigned"] += 1
+        if expired:
+            self._changed.notify_all()
 
     def _lease(self, worker: str) -> Dict[str, Any]:
-        """Grant the next pending shard, or say wait/done."""
-        with self._lock:
-            now = self._clock()
-            self._reap_expired(now)
-            if len(self._completed) == self._shard_count:
-                return {"op": "done"}
-            if not self._pending:
-                # everything is leased out: poll again within the lease
-                # window so an expiry is picked up promptly
-                return {
-                    "op": "wait",
-                    "seconds": min(1.0, self._lease_timeout / 4),
-                }
-            shard = self._pending.popleft()
-            self._leases[shard] = _Lease(worker, now + self._lease_timeout)
-            self.stats["leases_granted"] += 1
-            return {
-                "op": "assign",
-                "shard": shard,
-                "indices": list(self._plan[shard]),
-                "digest": self._digest,
-            }
+        """Grant the next pending shard, or say wait/done, without blocking."""
+        with self._changed:
+            return self._grant(worker, self._clock())
+
+    def _grant(self, worker: str, now: float) -> Dict[str, Any]:
+        """Reap, then grant the next pending shard or say wait/done (lock held)."""
+        self._reap_expired(now)
+        if self._all_done():
+            return {"op": "done"}
+        if not self._pending:
+            return {"op": "wait", "seconds": self.poll_window}
+        shard = self._pending.popleft()
+        self._leases[shard] = _Lease(worker, now + self._lease_timeout)
+        self.stats["leases_granted"] += 1
+        return {
+            "op": "assign",
+            "shard": shard,
+            "indices": list(self._plan[shard]),
+            "digest": self._digest,
+        }
 
     def _heartbeat(self, worker: str, shard: Any) -> Dict[str, Any]:
         """Extend a live lease; tell a superseded worker to stand down."""
-        with self._lock:
+        with self._changed:
             now = self._clock()
             self._reap_expired(now)
             self.stats["heartbeats"] += 1
@@ -419,7 +473,7 @@ class ShardCoordinator:
         """Validate a shard submission and persist it as a checkpoint."""
         worker = str(message.get("worker", "?"))
         shard = message.get("shard")
-        with self._lock:
+        with self._changed:
             now = self._clock()
             self._reap_expired(now)
             if not isinstance(shard, int) or not 0 <= shard < self._shard_count:
@@ -458,6 +512,7 @@ class ShardCoordinator:
             self._completed.add(shard)
             self._leases.pop(shard, None)
             self.stats["accepted"] += 1
+            self._changed.notify_all()
             return {"op": "accepted", "duplicate": False}
 
     def _reject(self, worker: str, shard: Any, reason: str) -> Dict[str, Any]:
@@ -473,6 +528,7 @@ class ShardCoordinator:
             if lease is not None and lease.worker == worker:
                 del self._leases[shard]
                 self._pending.append(shard)
+                self._changed.notify_all()
         return {"op": "rejected", "reason": reason}
 
 
@@ -490,7 +546,9 @@ class ShardWorker:
     request reconnects with exponential backoff so a briefly unreachable
     coordinator (restart, network blip) is ridden out, and a permanently
     gone one terminates the worker with
-    :class:`DistributedProtocolError` after ``max_attempts`` tries.
+    :class:`DistributedProtocolError` after ``max_attempts`` tries.  The
+    coordinator may hold a ``lease`` request for its lease-poll window (at
+    most 1 s), so ``request_timeout`` must exceed that window.
 
     Subclasses may override :meth:`on_leased` (called between winning a
     lease and computing it) — the seam the fault-harness's ``FaultyWorker``
@@ -573,7 +631,8 @@ class ShardWorker:
             if op == "done":
                 return self.shards_computed
             if op == "wait":
-                time.sleep(float(reply.get("seconds", 0.1)))
+                # the coordinator already held this request for a whole
+                # lease-poll window: ask again straight away
                 continue
             if op != "assign":
                 raise DistributedProtocolError(
@@ -704,7 +763,6 @@ class DistributedExecutor:
         wall_timeout: optional overall deadline in seconds; on expiry the
             merged partial result is returned (``pending_points`` > 0),
             exactly like an interrupted sharded run — ``--resume`` finishes.
-        poll_interval: coordinator wait-loop poll period.
     """
 
     workers: int = 2
@@ -716,7 +774,6 @@ class DistributedExecutor:
     port: int = 0
     spawn_workers: bool = True
     wall_timeout: Optional[float] = None
-    poll_interval: float = 0.05
     name: str = field(default="distributed", init=False)
 
     def execute(
@@ -727,6 +784,12 @@ class DistributedExecutor:
         points: List[PointParams],
     ) -> ExecutionOutcome:
         """Coordinate workers over the sweep and merge their checkpoints.
+
+        Waits on the coordinator's state condition, not on a timer.  Once
+        every shard is in, the coordinator keeps serving while the local
+        workers receive ``done`` and exit, and only then stops (join
+        before stop).  A worker still alive one lease-poll window later can
+        only be recomputing a shard already on disk, so it is terminated.
 
         Raises:
             ExecutorConfigError: on a nonsensical configuration (no
@@ -804,23 +867,28 @@ class DistributedExecutor:
                 if self.wall_timeout is None
                 else time.monotonic() + self.wall_timeout
             )
-            while not coordinator.finished:
-                coordinator.reap()
-                if deadline is not None and time.monotonic() > deadline:
+            window = coordinator.poll_window
+            while not coordinator.wait_finished(
+                window
+                if deadline is None
+                else min(window, deadline - time.monotonic())
+            ):
+                if deadline is not None and time.monotonic() >= deadline:
                     break
                 if procs and not any(proc.is_alive() for proc in procs):
-                    # every local worker is gone (a worker exits only after
-                    # its final submit round-trip): nothing will finish the
-                    # remaining shards — return the partial result honestly
+                    # every local worker is gone (a healthy worker exits
+                    # only after it receives ``done``): nothing will finish
+                    # the remaining shards — return the partial result
+                    # honestly
                     break
-                time.sleep(self.poll_interval)
         finally:
-            coordinator.stop()
+            grace = time.monotonic() + coordinator.poll_window
             for proc in procs:
-                proc.join(timeout=5.0)
+                proc.join(max(0.0, grace - time.monotonic()))
                 if proc.is_alive():
                     proc.terminate()
                     proc.join(timeout=5.0)
+            coordinator.stop()
 
         rows_by_index, compute_seconds = merge_checkpoints(
             run_dir, plan, spec.columns, digest

@@ -68,8 +68,11 @@ class ExperimentResult:
             contributed rows — for a resumed/merged sharded run this spans
             all contributing invocations; for serial/process runs it is this
             invocation's sweep time.
-        invocation_seconds: wall clock of the invocation that produced this
-            result object (≤ ``wall_seconds`` after a resume).
+        invocation_seconds: wall clock of the whole call that produced this
+            result object, including worker spawn, coordination and
+            shutdown for a distributed run; it may exceed ``wall_seconds``
+            (parallel backends add overhead) or fall below it (a resume
+            reuses earlier compute).
         pending_points: sweep points not yet computed (0 when complete).
         executor: name of the execution backend that produced the rows.
     """

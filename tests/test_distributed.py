@@ -211,6 +211,16 @@ class TestCoordinatorProtocol:
         )
         assert coordinator.finished
 
+    def test_lease_answers_wait_at_once_when_all_leased(self, tmp_path):
+        # handle() never blocks: the long-poll lives in the TCP handler, so
+        # a fake-clock caller gets its ``wait`` immediately
+        coordinator, _, _, _ = self.make(tmp_path, num_points=1, shard_count=1)
+        assert coordinator.handle({"op": "lease", "worker": "a"})["op"] == "assign"
+        start = time.perf_counter()
+        reply = coordinator.handle({"op": "lease", "worker": "b"})
+        assert time.perf_counter() - start < 0.1
+        assert reply == {"op": "wait", "seconds": coordinator.poll_window}
+
     def test_heartbeat_extends_lease(self, tmp_path):
         coordinator, clock, digest, _ = self.make(
             tmp_path, num_points=1, shard_count=1, lease_timeout=5.0
@@ -508,8 +518,12 @@ class TestWorkerBackoff:
 # socket/process integration: real workers, real faults
 # ----------------------------------------------------------------------
 def _run_faulty(worker):
-    """Run a worker thread, swallowing the protocol error raised when the
-    coordinator is stopped before the worker observes ``done``."""
+    """Run a worker thread, swallowing a protocol error.
+
+    Workers receive ``done`` before the test stops the coordinator; only
+    when the test fails first does ``coordinator.stop()`` pull the port
+    from under a worker, and its error must not mask that failure.
+    """
     try:
         worker.run()
     except DistributedProtocolError:
@@ -580,11 +594,7 @@ def _merged_rows(run_dir, spec, points, digest):
 
 
 def _await(coordinator, timeout=60.0):
-    deadline = time.monotonic() + timeout
-    while not coordinator.finished:
-        coordinator.reap()
-        assert time.monotonic() < deadline, "sweep did not converge in time"
-        time.sleep(0.05)
+    assert coordinator.wait_finished(timeout), "sweep did not converge in time"
 
 
 @INTEGRATION
@@ -625,6 +635,140 @@ class TestExecutorBitIdentity:
         assert result.rows == serial.rows
         # the pre-existing shard's compute time was merged, not recomputed
         assert result.wall_seconds >= 0.5
+
+
+#: slack over a serial run for spawning two workers, coordinating them and
+#: shutting down (~0.1 s); below the 1 s lease-poll window, so a shutdown
+#: that waits out the window before terminating its workers fails too
+SHUTDOWN_MARGIN = 0.75
+
+
+def _serve_worker(worker, errors):
+    """Thread target: run a worker, recording any exception it raises."""
+    try:
+        worker.run()
+    except Exception as error:  # any escape fails the test that reads it
+        errors.append(error)
+
+
+def _park_lease(address, worker):
+    """Send a ``lease`` on a thread; the box gets the reply and its time."""
+    box = {}
+
+    def ask():
+        box["reply"] = send_request(address, {"op": "lease", "worker": worker})
+        box["at"] = time.monotonic()
+
+    thread = threading.Thread(target=ask, daemon=True)
+    thread.start()
+    return thread, box
+
+
+@INTEGRATION
+class TestShutdown:
+    def test_distributed_call_costs_no_shutdown_tail(self, tmp_path):
+        serial = run_experiment("e2", preset="quick")
+        start = time.perf_counter()
+        result = run_experiment("e2", preset="quick", workers=2,
+                                run_dir=tmp_path / "run")
+        elapsed = time.perf_counter() - start
+        assert result.rows == serial.rows
+        bound = serial.invocation_seconds + SHUTDOWN_MARGIN
+        assert result.invocation_seconds <= bound
+        assert elapsed <= bound
+
+    def test_healthy_workers_return_before_stop(self, tmp_path):
+        _, _, points, _, _, coordinator = _real_sweep(tmp_path)
+        address = coordinator.start()
+        errors = []
+        workers = [ShardWorker(address) for _ in range(2)]
+        threads = [
+            threading.Thread(target=_serve_worker, args=(worker, errors),
+                             daemon=True)
+            for worker in workers
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            coordinator.stop()
+        assert errors == []
+        assert coordinator.finished
+        assert sum(worker.shards_computed for worker in workers) == len(points)
+
+
+@INTEGRATION
+class TestLongPoll:
+    """A ``lease`` parked in the TCP long-poll is answered by events."""
+
+    def make(self, tmp_path, num_points, shard_count, lease_timeout=2.0):
+        run_dir = tmp_path / "run"
+        spec, points, digest = synthetic_sweep(num_points, shard_count, run_dir)
+        coordinator = ShardCoordinator(
+            spec, "quick", {}, points, shard_count, digest, run_dir,
+            lease_timeout=lease_timeout,
+        )
+        return coordinator, digest
+
+    def test_expired_lease_answers_parked_lease(self, tmp_path):
+        coordinator, _ = self.make(tmp_path, num_points=1, shard_count=1)
+        address = coordinator.start()
+        try:
+            lease = coordinator.handle({"op": "lease", "worker": "doomed"})
+            expiry = time.monotonic() + 2.0
+            # park just before the expiry: the window alone would answer
+            # 0.3 s after it
+            time.sleep(max(0.0, expiry - 0.2 - time.monotonic()))
+            thread, box = _park_lease(address, "healthy")
+            thread.join(timeout=10.0)
+        finally:
+            coordinator.stop()
+        assert box["reply"]["op"] == "assign"
+        assert box["reply"]["shard"] == lease["shard"]
+        assert box["at"] - expiry < coordinator.poll_window / 3
+
+    def test_rejected_submit_answers_parked_lease(self, tmp_path):
+        coordinator, _ = self.make(tmp_path, num_points=1, shard_count=1)
+        address = coordinator.start()
+        try:
+            lease = coordinator.handle({"op": "lease", "worker": "corrupt"})
+            thread, box = _park_lease(address, "healthy")
+            time.sleep(0.1)
+            assert "reply" not in box, "lease was not held"
+            rejected = time.monotonic()
+            outcome = coordinator.handle(
+                submit_message("corrupt", lease["shard"], "0" * 64,
+                               lease["indices"], rows_for(lease["indices"]))
+            )
+            thread.join(timeout=10.0)
+        finally:
+            coordinator.stop()
+        assert outcome["op"] == "rejected"
+        assert box["reply"]["op"] == "assign"
+        assert box["at"] - rejected < coordinator.poll_window / 3
+
+    def test_last_accepted_submit_answers_parked_lease(self, tmp_path):
+        coordinator, digest = self.make(tmp_path, num_points=1, shard_count=1)
+        address = coordinator.start()
+        try:
+            lease = coordinator.handle({"op": "lease", "worker": "last"})
+            thread, box = _park_lease(address, "idle")
+            time.sleep(0.1)
+            assert "reply" not in box, "lease was not held"
+            accepted = time.monotonic()
+            outcome = coordinator.handle(
+                submit_message("last", lease["shard"], digest,
+                               lease["indices"], rows_for(lease["indices"]))
+            )
+            thread.join(timeout=10.0)
+        finally:
+            coordinator.stop()
+        assert outcome == {"op": "accepted", "duplicate": False}
+        assert box["reply"] == {"op": "done"}
+        assert box["at"] - accepted < coordinator.poll_window / 3
 
 
 @INTEGRATION
