@@ -23,7 +23,7 @@ from repro.experiments.executors import (
     ShardedExecutor,
     make_executor,
 )
-from repro.experiments.harness import ExperimentConfig, make_topology, sweep_sizes
+from repro.experiments.harness import make_topology, sweep_sizes
 from repro.experiments.registry import (
     ExperimentSpec,
     all_experiments,
@@ -34,7 +34,6 @@ from repro.experiments.runner import ExperimentResult, run_experiment
 
 __all__ = [
     "Executor",
-    "ExperimentConfig",
     "ExperimentResult",
     "ExperimentSpec",
     "ProcessExecutor",

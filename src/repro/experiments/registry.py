@@ -250,30 +250,12 @@ def register_experiment(
             quick_extras=tuple(BenchVariant(*entry) for entry in quick_extras),
             description=description,
         )
-        existing = _REGISTRY.get(spec.id)
-        if existing is not None and _same_source(existing.point_fn, fn):
-            # the same module imported twice (e.g. executed as a script and
-            # then re-imported as repro.experiments.eNN by load_all): keep
-            # the first registration so every consumer resolves one spec
-            fn.spec = existing  # type: ignore[attr-defined]
-            return fn
         _validate_spec(spec)
         _REGISTRY[spec.id] = spec
         fn.spec = spec  # type: ignore[attr-defined]
         return fn
 
     return decorator
-
-
-def _same_source(a: Callable, b: Callable) -> bool:
-    """True when two callables are defined at the same place in the same file."""
-    try:
-        return (
-            a.__qualname__ == b.__qualname__
-            and a.__code__.co_filename == b.__code__.co_filename
-        )
-    except AttributeError:
-        return False
 
 
 def _validate_spec(spec: ExperimentSpec) -> None:

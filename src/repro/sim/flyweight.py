@@ -9,39 +9,53 @@ messages.  A *flyweight* protocol inverts the layout:
 * **one** instance per run holds all per-node state in columnar slots —
   ``bytearray``/``array``/list columns indexed by a dense slot id assigned
   in node order — instead of n objects holding one attribute each;
-* the simulator calls ``on_start(slot)`` / ``on_round(slot, inbox, event)``
-  with the slot index; helpers (:meth:`FlyweightProtocol.send`,
-  :meth:`FlyweightProtocol.halt_slot`) update the shared columns;
+* the simulator calls ``start(slot, inbox, event)`` once per slot and
+  ``on_round(slot, inbox, event)`` afterwards, with the slot index; helpers
+  (:meth:`FlyweightProtocol.send`, :meth:`FlyweightProtocol.halt_slot`)
+  update the shared columns;
 * sends accumulate in one contiguous per-round buffer; the simulator slices
-  each acting node's segment off the tail, preserving the exact per-node
-  message grouping (and therefore delivery order) of the classic loop;
+  each acting node's segment off the tail, so every node's messages stay
+  grouped in node order;
 * per-node randomness comes from the :mod:`repro.sim.substreams` family on
   the environment — derived on demand, never pre-built.
 
+The flyweight loop is the **only** loop in each simulator.  A classic
+``NodeProtocol`` factory runs through :class:`NodeProtocolAdapter`, a
+flyweight whose slots hold one classic instance each: it builds each node's
+:class:`~repro.sim.node.NodeContext` from the environment columns and moves
+every dispatch's collected actions into the shared buffers, so classic and
+flyweight protocols share dispatch order, fault draws and termination.
+
 A flyweight may additionally declare ``MESSAGE_DRIVEN = True``: its
 ``on_round`` with an empty inbox is a no-op (it reacts to mail only, never
-to channel feedback or the passage of rounds).  The fault-free simulator
-loops then dispatch **only slots with mail** — on a 10⁵-node aggregation
-whose waves keep most nodes quiet this removes ~99% of all dispatch calls,
-which profiling showed to be the real wall (≈2 × 10⁸ empty-inbox calls per
-e10 sweep point at n = 102400).
+to channel feedback or the passage of rounds).  Fault-free runs then
+dispatch **only slots with mail** after the start round — on a 10⁵-node
+aggregation whose waves keep most nodes quiet this removes ~99% of all
+dispatch calls, which profiling showed to be the real wall (≈2 × 10⁸
+empty-inbox calls per e10 sweep point at n = 102400).
 
 Equivalence contract: driving a flyweight must be indistinguishable — same
 messages in the same order, same channel writes, same metrics, same results
-— from driving n classic instances of the protocol it mirrors.  The
-adversity loops keep the classic full-scan dispatch so fault draws stay in
-the same order; ``tests/test_flyweight.py`` pins both paths against the
-classic protocols and the v3 goldens pin the adversity fingerprints.
+— from driving n classic instances of the protocol it mirrors.  Runs under
+adversity keep the full per-round slot scan so fault draws stay in order;
+``tests/test_flyweight.py`` pins the flyweight twins against their classic
+counterparts, ``tests/test_classic_fingerprints.py`` pins the classic
+protocols themselves, and the v3 goldens pin the adversity fingerprints.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.sim.events import ChannelEvent, Message
+from repro.sim.node import NodeContext, NodeProtocol
 from repro.sim.substreams import NodeStreams
 
 NodeId = Hashable
+
+#: What the simulators' ``run`` accepts: a flyweight class, or a callable
+#: building one node's classic protocol from its context.
+ProtocolFactory = Callable[..., Any]
 
 
 class FlyweightEnvironment:
@@ -103,14 +117,11 @@ class FlyweightProtocol:
     ``env.num_slots``.  Within the callbacks they may call :meth:`send`,
     :meth:`channel_write` and :meth:`halt_slot`.
 
-    Contract differences from the classic per-node API, by design:
-
-    * the one-message-per-link-per-round rule is **not** re-validated here
-      (the classic ``send`` guard); flyweight protocols are library-internal
-      and their send patterns are structurally duplicate-free.  Link
-      adjacency is still validated by the network's ``accept_sends``.
-    * ``stop_when`` predicates (which receive a protocol map) are not
-      supported — flyweight runs have no per-node protocol objects.
+    Contract difference from the classic per-node API, by design: the
+    one-message-per-link-per-round rule is **not** re-validated here (the
+    classic ``send`` guard); flyweight protocols are library-internal and
+    their send patterns are structurally duplicate-free.  Link adjacency is
+    still validated by the network's ``accept_sends``.
     """
 
     #: Set by subclasses whose ``on_round`` ignores empty inboxes entirely;
@@ -154,26 +165,123 @@ class FlyweightProtocol:
     # callbacks to override
     # ------------------------------------------------------------------
     def on_start(self, slot: int) -> None:
-        """Called once per slot before round 0's sends are collected."""
+        """Called once per slot before its first round's sends are collected."""
 
     def on_round(self, slot: int, inbox: Sequence[Message],
                  channel: ChannelEvent) -> None:
         """Called with a slot's newly delivered messages and slot feedback.
 
-        A ``MESSAGE_DRIVEN`` subclass is never called with an empty inbox by
-        the fault-free loops; the adversity loops may still pass one (the
-        classic full-scan dispatch), and the subclass must treat it as a
-        no-op to honour its declaration.
+        A ``MESSAGE_DRIVEN`` subclass declares an empty inbox a no-op, and
+        the simulators never call it with one.
         """
         raise NotImplementedError
 
     # ------------------------------------------------------------------
     # simulator-facing plumbing
     # ------------------------------------------------------------------
+    def start(self, slot: int, inbox: Optional[Sequence[Message]],
+              channel: ChannelEvent) -> None:
+        """Start ``slot`` and hand it the mail already waiting, if any.
+
+        The simulators call this once per slot, in its first up round (round
+        0, or later for a node that starts the run crashed).
+        """
+        self.on_start(slot)
+        if inbox:
+            self.on_round(slot, inbox, channel)
+
     def results_by_node(self) -> Dict[NodeId, Any]:
         """Return the per-node results keyed by node id (slot order)."""
         results = self.results
         return {node: results[slot] for slot, node in enumerate(self.env.nodes)}
+
+
+class NodeProtocolAdapter(FlyweightProtocol):
+    """Drives one classic :class:`NodeProtocol` per slot through the flyweight loop.
+
+    Each node's :class:`NodeContext` is built from the environment columns:
+    neighbours, link weights, ``n``, a random source derived lazily from the
+    node's substream, and a fresh copy of the node's inputs.  A protocol
+    already halted by its constructor is marked halted in the column and
+    never scheduled.  After every dispatch
+    the protocol's collected sends and channel write move into the shared
+    buffers and its halt is mirrored into the column.
+    """
+
+    def __init__(
+        self,
+        env: FlyweightEnvironment,
+        factory: Callable[[NodeContext], NodeProtocol],
+    ) -> None:
+        """Build one context and classic protocol instance per slot."""
+        super().__init__(env)
+        inputs = env.inputs
+        rng_factory = env.streams.rng_for
+        halted = self.halted
+        instances: List[NodeProtocol] = []
+        for slot, node in enumerate(env.nodes):
+            protocol = factory(NodeContext(
+                node_id=node,
+                neighbors=env.neighbors[slot],
+                link_weights=env.link_weights[slot],
+                n=env.n,
+                extra=dict(inputs.get(node, {})) if inputs else {},
+                rng_factory=rng_factory,
+            ))
+            instances.append(protocol)
+            if protocol._halted:
+                halted[slot] = 1
+                self.active_count -= 1
+        self._instances = instances
+        #: node id → classic protocol instance (``SimulationResult.protocols``).
+        self.protocols: Dict[NodeId, NodeProtocol] = dict(zip(env.nodes, instances))
+
+    def _collect(self, slot: int, protocol: NodeProtocol) -> None:
+        """Move one dispatch's actions into the shared buffers; mirror a halt."""
+        if protocol._acted:
+            outbox, payload, wrote = protocol._collect_actions()
+            if outbox:
+                self._sends.extend(outbox)
+            if wrote:
+                self._writes.append((protocol.ctx.node_id, payload))
+        if protocol._halted and not self.halted[slot]:
+            self.halted[slot] = 1
+            self.active_count -= 1
+
+    def start(self, slot: int, inbox: Optional[Sequence[Message]],
+              channel: ChannelEvent) -> None:
+        """Start the slot's protocol, hand over waiting mail, collect **once**.
+
+        One collection for both callbacks keeps the classic one-message-per-
+        link check across them: a deferred start whose ``on_start`` and first
+        ``on_round`` send on the same link raises
+        :class:`~repro.sim.errors.ProtocolError`.
+        """
+        protocol = self._instances[slot]
+        protocol.on_start()
+        if inbox:
+            protocol.on_round(inbox, channel)
+        self._collect(slot, protocol)
+
+    def on_round(self, slot: int, inbox: Sequence[Message],
+                 channel: ChannelEvent) -> None:
+        """Dispatch one round to the slot's protocol and collect its actions."""
+        protocol = self._instances[slot]
+        protocol.on_round(inbox, channel)
+        self._collect(slot, protocol)
+
+    def results_by_node(self) -> Dict[NodeId, Any]:
+        """Return each classic protocol's declared result, keyed by node id."""
+        return {node: protocol.result for node, protocol in self.protocols.items()}
+
+
+def flyweight_for(
+    protocol_factory: Callable, env: FlyweightEnvironment
+) -> FlyweightProtocol:
+    """Instantiate a run() factory over ``env``: directly or via the adapter."""
+    if is_flyweight_factory(protocol_factory):
+        return protocol_factory(env)
+    return NodeProtocolAdapter(env, protocol_factory)
 
 
 def is_flyweight_factory(protocol_factory: object) -> bool:

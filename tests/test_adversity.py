@@ -32,7 +32,7 @@ from repro.sim.adversity import (
     resolve_adversity,
 )
 from repro.sim.channel import SlottedChannel
-from repro.sim.errors import AdversityAbort, SimulationTimeout
+from repro.sim.errors import AdversityAbort, ProtocolError, SimulationTimeout
 from repro.sim.metrics import MetricsRecorder
 from repro.sim.multimedia import MultimediaNetwork
 from repro.sim.node import NodeProtocol
@@ -40,6 +40,7 @@ from repro.sim.synchronizer import ChannelSynchronizer
 from repro.protocols.spanning.broadcast_convergecast import TreeAggregationProtocol
 from repro.protocols.spanning.bfs import build_bfs_forest
 from repro.protocols.spanning.tree_utils import children_map
+from repro.topology.generators import path_graph
 
 
 # ----------------------------------------------------------------------
@@ -159,22 +160,31 @@ class TestDeterminism:
 # crash-during-broadcast recovery
 # ----------------------------------------------------------------------
 class _RetransmittingFlood(NodeProtocol):
-    """Root floods a token; holders re-send every round (crash-tolerant)."""
+    """Root floods a token; holders re-send every round (crash-tolerant).
 
-    # class default: a node crashed from round 0 has not run on_start when
-    # the stop predicate first fires
+    A holder halts once it has heard the token from every neighbour: by then
+    every neighbour holds it too, so the flood ends on its own even when a
+    crash window swallowed some of its rounds.
+    """
+
+    # class default: a node that never ran on_start has not heard anything
     has_token = False
 
     def on_start(self):
+        self.heard = set()
         self.has_token = bool(self.ctx.extra.get("root"))
         if self.has_token:
             self.send_to_all_neighbors("tok")
 
     def on_round(self, inbox, channel):
+        for message in inbox:
+            self.heard.add(message.sender)
         if inbox and not self.has_token:
             self.has_token = True
         if self.has_token:
             self.send_to_all_neighbors("tok")
+            if len(self.heard) == len(self.neighbors):
+                self.halt()
 
 
 class TestCrashRecovery:
@@ -192,9 +202,6 @@ class TestCrashRecovery:
         result = MultimediaNetwork(graph, seed=3).run(
             _RetransmittingFlood,
             inputs={root: {"root": True}},
-            stop_when=lambda protocols: all(
-                p.has_token for p in protocols.values()
-            ),
             adversity=state,
         )
         assert all(p.has_token for p in result.protocols.values())
@@ -205,21 +212,55 @@ class TestCrashRecovery:
         graph = make_topology("ring", 8, seed=11)
         nodes = sorted(graph.nodes())
         root, victim = nodes[0], nodes[3]
-        # the victim is down for rounds 0..3 (offset forced by crash_nodes)
+        # the victim is down for rounds 0..3: crash_nodes forces it
+        # crash-prone and this point key draws window offset 0
         state = adversity_state(
             {"name": "crash", "crash_rate": 0.0, "crash_nodes": (victim,),
              "crash_length": 4, "crash_period": 64},
-            "late-start", 8,
+            "late-start-19", 8,
         )
+        state.bind_topology(graph)
+        assert state.node_crashed(victim, 0)
         result = MultimediaNetwork(graph, seed=3).run(
             _RetransmittingFlood,
             inputs={root: {"root": True}},
-            stop_when=lambda protocols: all(
-                p.has_token for p in protocols.values()
-            ),
             adversity=state,
         )
         assert result.protocols[victim].has_token
+        assert state.crash_node_rounds > 0
+
+
+class _PingsEveryRound(NodeProtocol):
+    """Messages every neighbour in on_start and again in every round."""
+
+    def on_start(self):
+        self.send_to_all_neighbors("ping")
+
+    def on_round(self, inbox, channel):
+        self.send_to_all_neighbors("ping")
+
+
+class TestDeferredStart:
+    @pytest.mark.parametrize("simulator", ("multimedia", "synchronizer"))
+    def test_start_and_first_round_share_one_link_budget(self, simulator):
+        # node 1 is down at round 0, so its start is deferred to its first up
+        # round, where mail from node 0 is already waiting; on_start and that
+        # round's on_round together sending twice on one link breaks the
+        # one-message-per-link rule
+        graph = path_graph(2)
+        state = adversity_state(
+            {"name": "crash", "crash_rate": 0.0, "crash_nodes": (1,),
+             "crash_length": 4, "crash_period": 64},
+            "deferred-double-send-9",
+        )
+        state.bind_topology(graph)
+        assert state.node_crashed(1, 0)
+        if simulator == "multimedia":
+            sim = MultimediaNetwork(graph, seed=3)
+        else:
+            sim = ChannelSynchronizer(graph, seed=3)
+        with pytest.raises(ProtocolError, match="two messages"):
+            sim.run(_PingsEveryRound, adversity=state)
 
 
 # ----------------------------------------------------------------------

@@ -93,20 +93,6 @@ class TestRegistryCompleteness:
                 presets={name: {"sizes": (4,)} for name in REQUIRED_PRESETS},
             )(lambda n: {"n": n})
 
-    def test_reimport_of_same_module_keeps_first_registration(self):
-        # executing an eNN module as a script registers its spec under
-        # __main__; load_all() then imports the same file as the package
-        # module — the second registration must be a no-op, not an error
-        spec = get_experiment("e1")
-        redecorated = register_experiment(
-            id="e1",
-            title="dup from re-import",
-            columns=spec.columns,
-            presets=spec.presets,
-        )(spec.point_fn)
-        assert get_experiment("e1") is spec
-        assert redecorated.spec is spec
-
     def test_missing_preset_rejected(self):
         with pytest.raises(ValueError, match="missing preset"):
             register_experiment(

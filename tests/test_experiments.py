@@ -63,22 +63,6 @@ class TestHarness:
         assert rows[0]["nodes"] == rows[0]["n"]
 
 
-class TestExperimentConfig:
-    def test_graphs_is_deprecated_and_honours_topology_seed(self):
-        config = harness.ExperimentConfig(sizes=(16, 36), topology_seed=5)
-        with pytest.deprecated_call():
-            graphs = config.graphs()
-        assert [g.num_nodes() for g in graphs] == [16, 36]
-        expected = [harness.make_topology("grid", n, seed=5) for n in (16, 36)]
-        assert [g.edges() for g in graphs] == [g.edges() for g in expected]
-
-    def test_graphs_default_seed_matches_historical_value(self):
-        config = harness.ExperimentConfig(sizes=(16,))
-        with pytest.deprecated_call():
-            (graph,) = config.graphs()
-        assert graph.edges() == harness.make_topology("grid", 16, seed=11).edges()
-
-
 class TestExperimentsProduceRows:
     def test_e1_all_bounds_hold(self):
         result = run_experiment("e1", overrides={"sizes": (36, 64)})
@@ -146,17 +130,3 @@ class TestExperimentsProduceRows:
         row = result.rows[0]
         assert row["sync_msg_overhead(≤2)"] <= 2.0 + 1e-9
         assert row["det_size_exact"] is True
-
-
-class TestLegacyRunWrappers:
-    """The module-level ``run()`` wrappers stay drop-in compatible."""
-
-    def test_run_returns_identical_table(self):
-        from repro.experiments import e01_det_partition_quality as e1
-
-        table = e1.run(sizes=(16, 36))
-        result = run_experiment("e1", overrides={"sizes": (16, 36)})
-        assert table.columns == list(result.columns)
-        assert table.rows == [
-            [row[column] for column in result.columns] for row in result.rows
-        ]

@@ -3,9 +3,13 @@
 The contract: a flyweight protocol produces exactly the outputs its
 classic per-node counterpart produces — on the synchronous simulator, under
 every adversity preset, and under the channel synchronizer — while holding
-all per-node state in slot-indexed columns on one shared instance.  The
-equivalence pairs here run :class:`TreeAggregationProtocol` (classic)
-against :class:`TreeAggregationFlyweight` point by point; the stream-era
+all per-node state in slot-indexed columns on one shared instance.  Both
+simulators have one loop over flyweight slots, and a classic protocol runs
+through :class:`~repro.sim.flyweight.NodeProtocolAdapter`, so each pair
+here compares a twin against its classic protocol driven by the adapter:
+:class:`TreeAggregationProtocol` against :class:`TreeAggregationFlyweight`,
+and the two channel-protocol pairs.  The classic protocols' own counters
+are pinned in ``tests/test_classic_fingerprints.py``; the stream-era
 fingerprints live in ``tests/test_perf_equivalence.py`` (golden v4).
 """
 
@@ -86,16 +90,6 @@ class TestSynchronousEquivalence:
             flyweight.metrics.point_to_point_messages
             == classic.metrics.point_to_point_messages
         )
-
-    def test_stop_when_rejected(self):
-        graph = make_topology("ring", 8, seed=11)
-        inputs = aggregation_inputs(graph, False)
-        with pytest.raises(ValueError, match="stop_when"):
-            MultimediaNetwork(graph, seed=3).run(
-                TreeAggregationFlyweight,
-                inputs=inputs,
-                stop_when=lambda protocols: False,
-            )
 
 
 CHANNEL_PAIRS = (

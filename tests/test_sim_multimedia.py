@@ -52,6 +52,14 @@ class NeverHalts(NodeProtocol):
         pass
 
 
+class HaltAtStart(NodeProtocol):
+    def on_start(self):
+        self.halt()
+
+    def on_round(self, inbox, channel):  # pragma: no cover
+        raise AssertionError("halts at start")
+
+
 class DoubleSender(NodeProtocol):
     def on_start(self):
         neighbor = self.neighbors[0]
@@ -95,15 +103,16 @@ class TestMultimediaNetwork:
 
     def test_contexts_receive_inputs_and_n(self):
         network = MultimediaNetwork(path_graph(4), seed=1)
-        contexts = network.build_contexts(inputs={0: {"value": 42}})
+        result = network.run(HaltAtStart, inputs={0: {"value": 42}})
+        contexts = {node: p.ctx for node, p in result.protocols.items()}
         assert contexts[0].extra["value"] == 42
         assert contexts[2].extra == {}
         assert contexts[3].n == 4
 
     def test_n_unknown_mode(self):
         network = MultimediaNetwork(path_graph(4), n_known=False)
-        contexts = network.build_contexts()
-        assert all(ctx.n is None for ctx in contexts.values())
+        result = network.run(HaltAtStart)
+        assert all(p.ctx.n is None for p in result.protocols.values())
 
     def test_seeded_runs_are_reproducible(self):
         graph = ring_graph(7)

@@ -13,7 +13,8 @@ from repro.sim.events import SlotState, idle_event
 from repro.sim.channel import SlottedChannel
 from repro.sim.multimedia import MultimediaNetwork
 from repro.sim.network import PointToPointNetwork
-from repro.sim.node import NodeProtocol
+from repro.sim.node import NodeContext, NodeProtocol
+from repro.sim.synchronizer import ChannelSynchronizer
 from repro.topology.generators import path_graph, ring_graph
 
 
@@ -107,9 +108,10 @@ class TestPublicViewCache:
 
 class TestActionCollection:
     def _protocol(self):
-        ctx_graph = path_graph(3)
-        network = MultimediaNetwork(ctx_graph)
-        ctx = network.build_contexts()[1]
+        # the middle node of a 3-path
+        ctx = NodeContext(
+            node_id=1, neighbors=(0, 2), link_weights={0: 1.0, 2: 1.0}, n=3
+        )
 
         class Noop(NodeProtocol):
             def on_round(self, inbox, channel):
@@ -212,3 +214,43 @@ class TestRoundLoopSemantics:
         first = network.run(CoinFlip).results
         second = network.run(CoinFlip).results
         assert first == second
+
+
+class _BornDoneButChatty(NodeProtocol):
+    """Halts in its constructor; any on_start would message every neighbour."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.started = False
+        self.halt("early")
+
+    def on_start(self):
+        self.started = True
+        self.send_to_all_neighbors("hello")
+
+    def on_round(self, inbox, channel):  # pragma: no cover
+        raise AssertionError("never scheduled")
+
+
+class TestHaltedInConstructor:
+    """A node halted before the run starts is never scheduled, on either sim."""
+
+    def test_multimedia_never_starts_it(self):
+        result = MultimediaNetwork(path_graph(3)).run(_BornDoneButChatty)
+        assert not any(p.started for p in result.protocols.values())
+        assert result.metrics.point_to_point_messages == 0
+        assert set(result.results.values()) == {"early"}
+
+    def test_synchronizer_never_starts_it(self):
+        built = []
+
+        def factory(ctx):
+            protocol = _BornDoneButChatty(ctx)
+            built.append(protocol)
+            return protocol
+
+        report = ChannelSynchronizer(path_graph(3), seed=1).run(factory)
+        assert len(built) == 3
+        assert not any(p.started for p in built)
+        assert report.algorithm_messages == 0
+        assert set(report.results.values()) == {"early"}
