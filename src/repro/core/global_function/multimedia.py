@@ -40,7 +40,7 @@ from repro.sim.adversity import AdversityState
 from repro.sim.channel import SlottedChannel
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.sim.multimedia import MultimediaNetwork
-from repro.topology.graph import WeightedGraph
+from repro.topology.graph import WeightedGraph, has_distinct_weights
 from repro.topology.weights import assign_distinct_weights
 
 NodeId = Hashable
@@ -128,7 +128,7 @@ def compute_global_function(
     if forest is None:
         rounds_before = recorder.rounds
         if method == "deterministic":
-            weighted = graph if _has_distinct_weights(graph) else assign_distinct_weights(
+            weighted = graph if has_distinct_weights(graph) else assign_distinct_weights(
                 graph, seed=seed
             )
             target = None
@@ -220,8 +220,3 @@ def compute_global_function(
         global_slots=global_slots,
         method=method,
     )
-
-
-def _has_distinct_weights(graph: WeightedGraph) -> bool:
-    weights = [edge.weight for edge in graph.edges()]
-    return len(weights) == len(set(weights))

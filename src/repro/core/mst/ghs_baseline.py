@@ -25,7 +25,13 @@ from typing import Dict, Hashable, List, Optional, Set, Tuple
 from repro.core.mst.kruskal import MSTEdges
 from repro.protocols.spanning.tree_utils import node_depths, reroot
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
-from repro.topology.graph import Edge, WeightedGraph, edge_key, sorted_incident_links
+from repro.topology.graph import (
+    Edge,
+    WeightedGraph,
+    edge_key,
+    has_distinct_weights,
+    sorted_incident_links,
+)
 from repro.topology.properties import is_connected
 
 NodeId = Hashable
@@ -69,8 +75,7 @@ class PointToPointMST:
             raise ValueError("cannot compute the MST of an empty network")
         if not is_connected(graph):
             raise ValueError("the topology must be connected")
-        weights = [edge.weight for edge in graph.edges()]
-        if len(weights) != len(set(weights)):
+        if not has_distinct_weights(graph):
             raise ValueError(
                 "link weights must be distinct; use assign_distinct_weights()"
             )

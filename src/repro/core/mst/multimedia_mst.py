@@ -33,7 +33,7 @@ from repro.protocols.collision.capetanakis import CapetanakisContender
 from repro.sim.adversity import AdversityState
 from repro.sim.channel import SlottedChannel
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
-from repro.topology.graph import Edge, WeightedGraph, edge_key
+from repro.topology.graph import Edge, WeightedGraph, edge_key, has_distinct_weights
 from repro.topology.properties import is_connected
 
 NodeId = Hashable
@@ -103,8 +103,7 @@ class MultimediaMST:
             raise ValueError("cannot compute the MST of an empty network")
         if not is_connected(graph):
             raise ValueError("the topology must be connected")
-        weights = [edge.weight for edge in graph.edges()]
-        if len(weights) != len(set(weights)):
+        if not has_distinct_weights(graph):
             raise ValueError(
                 "link weights must be distinct; use assign_distinct_weights()"
             )

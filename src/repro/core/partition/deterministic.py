@@ -14,7 +14,7 @@ constant diameter in F (Step 6).
 Execution style
 ---------------
 The phases are executed as an *orchestrated simulation*: the per-node state
-(parent pointer, core identity, list of not-yet-rejected incident links) is
+(parent pointer, fragment core, list of not-yet-rejected incident links) is
 explicit, every step is realised through the distributed tree primitives
 (broadcast, convergecast, GHS-style link testing, core-to-core routing over
 fragment branches), and the time and message cost of every step is charged
@@ -32,29 +32,34 @@ busy time of a phase can exceed the 5·2^i·log* n budget even though the
 total message count stays within O(m + n log n log* n); the experiments
 report both numbers.
 
-Implementation notes (hot loops, round 2)
------------------------------------------
-The orchestration state is **array-indexed**: nodes are enumerated once and
-parent pointers, depths, core membership and the per-node link-scan state
-live in flat integer lists indexed by that enumeration, so the inner loops
-index lists instead of hashing node objects.  Fragment bookkeeping
-(members, sizes, radii, first-appearance order) is maintained
-*incrementally* across phases — only the fragments a merge actually touches
-are updated, where earlier revisions re-derived all of it from scratch every
-phase.  Link rejection marks a dead flag on **both** endpoints' scan lists
-at rejection time (a batched candidate-edge scan with no per-test set
-hashing), replacing the global rejected-edge-key set.  The small fragment
-graph F — whose construction, 3-colouring, MIS and cut are order-sensitive —
-is still built over the original node objects, so the outputs stay
-bit-identical to the pre-optimization implementation (pinned by the v1
-goldens).
+Implementation notes
+--------------------
+The whole run lives in **index space**: slot ``i`` of the graph's CSR
+snapshot is node ``nodes[i]``, and parent pointers, depths, core membership,
+the per-node link-scan state and the fragment graph F are all flat integer
+lists or int-keyed dicts over those slots.  Fragment bookkeeping (members,
+sizes, radii, first-appearance order) is maintained *incrementally* across
+phases — only the fragments a merge touches are updated.  The paper
+assumes distinct link weights and the partitioner rejects graphs without
+them, so one stable argsort of the CSR weight column gives every node its
+scan list in weight order; link rejection marks a dead flag on **both**
+endpoints' scan lists, so the scan never hashes an edge key.
+
+The node labels are read at exactly two points where the paper's output
+depends on them — which side of a 2-cycle in F is dropped (the larger label
+by ``repr``) and the identifiers F is 3-coloured with (the labels themselves
+when all are ints, otherwise their rank by ``repr``) — and once more when
+the final state is translated into a :class:`SpanningForest`.  Reading the
+labels there, rather than relabelling the graph to its indices, keeps the
+output bit-identical for every label type (pinned by the v1 goldens and the
+non-integer-label fingerprints).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.partition.forest import Fragment, SpanningForest
 from repro.protocols.spanning.tree_utils import children_map
@@ -62,11 +67,7 @@ from repro.protocols.symmetry.cole_vishkin import log_star
 from repro.protocols.symmetry.mis import mis_from_three_coloring
 from repro.protocols.symmetry.three_coloring import three_color_rooted_forest
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
-from repro.topology.graph import (
-    WeightedGraph,
-    is_identity_enumeration,
-    sorted_incident_links,
-)
+from repro.topology.graph import WeightedGraph, has_distinct_weights
 from repro.topology.properties import is_connected
 
 NodeId = Hashable
@@ -82,8 +83,9 @@ class PhaseRecord:
         fragments_before / fragments_after: fragment counts around the phase.
         busy_rounds: rounds of actual activity in the phase.
         charged_rounds: rounds charged after padding to the synchronized
-            phase length ``5 · 2^i · log* n`` (equal to ``busy_rounds`` when
-            synchronization padding is disabled).
+            phase length ``5 · 2^i · log* n``, i.e. ``max(busy_rounds,
+            5 · 2^i · log* n)``; the charged rounds of all phases sum to the
+            run's ``metrics.rounds``.
         messages: point-to-point messages sent during the phase.
         coloring_rounds: parent→child communication rounds used by the
             3-colouring + MIS computation on the fragment graph F.
@@ -133,7 +135,6 @@ class DeterministicPartitioner:
         self,
         graph: WeightedGraph,
         target_size: Optional[int] = None,
-        synchronized_phases: bool = True,
         metrics: Optional[MetricsRecorder] = None,
     ) -> None:
         """Create a partitioner.
@@ -144,19 +145,19 @@ class DeterministicPartitioner:
             target_size: stop once every fragment has at least this many
                 nodes; defaults to ``⌈√n⌉``.  Section 5.1's tightened variant
                 passes ``⌈√(n / (log n · log* n))⌉``.
-            synchronized_phases: pad every phase to the precomputed length
-                ``5 · 2^i · log* n`` exactly as the paper does; when disabled
-                only the busy rounds are charged.
             metrics: externally owned recorder to charge (the MST algorithm
                 passes its own so all stages share one accountant).
 
         Raises:
-            ValueError: if the graph is empty or disconnected.
+            ValueError: if the graph is empty, disconnected, or has repeated
+                link weights.
         """
         if graph.num_nodes() == 0:
             raise ValueError("cannot partition an empty network")
         if not is_connected(graph):
             raise ValueError("the point-to-point topology must be connected")
+        if not has_distinct_weights(graph):
+            raise ValueError("link weights must be distinct; use assign_distinct_weights()")
         self._graph = graph
         self._n = graph.num_nodes()
         self._target = target_size if target_size is not None else max(
@@ -164,7 +165,6 @@ class DeterministicPartitioner:
         )
         if self._target < 1:
             raise ValueError("target_size must be at least 1")
-        self._synchronized = synchronized_phases
         self._metrics = metrics if metrics is not None else MetricsRecorder()
 
     # ------------------------------------------------------------------
@@ -174,60 +174,37 @@ class DeterministicPartitioner:
         """Execute the algorithm and return the resulting forest."""
         n = self._n
         log_star_n = max(1, log_star(max(2, n)))
-        # enumerate the nodes once; all hot state below is indexed by this
-        # enumeration (graph iteration order), not keyed by node objects
-        nodes: List[NodeId] = list(self._graph.nodes())
-        index_of: Dict[NodeId, int] = {node: i for i, node in enumerate(nodes)}
-        # when the nodes are their own 0..n-1 enumeration, index space *is*
-        # node space and the per-phase translation dictionaries are skipped
-        identity = is_identity_enumeration(nodes)
+        # all hot state below is indexed by the CSR slots; slot i is node
+        # nodes[i] (graph iteration order)
+        csr = self._graph.csr()
+        nodes: Sequence[NodeId] = csr.nodes
         # Phase 0 state: every node is a depth-0 singleton fragment whose
         # core is itself (-1 encodes "no parent")
         parent_idx: List[int] = [-1] * n
         core_arr: List[int] = list(range(n))
         depths: List[int] = [0] * n
-        # Each node scans its incident links in (weight, repr) order across
-        # all phases (the GHS discipline), so sort them once up front and
+        # Each node scans its incident links in weight order across all
+        # phases (the GHS discipline), so sort them once up front and
         # remember, per node, how far the scan has permanently advanced:
-        # every link before the pointer has been rejected forever.  A
-        # rejection marks BOTH endpoints' scan entries dead via the
-        # precomputed reverse positions, so the scan never hashes edge keys.
+        # every link before the pointer has been rejected forever.  One
+        # stable argsort of the (distinct) weight column populates every
+        # node's scan list, and both reverse positions are known at append
+        # time, so a rejection marks BOTH endpoints' scan entries dead
+        # without hashing a node or edge key.
         link_nbr: List[List[int]] = [[] for _ in range(n)]
         link_w: List[List[float]] = [[] for _ in range(n)]
         link_back: List[List[int]] = [[] for _ in range(n)]
-        edge_u, edge_v, edge_w = self._graph.csr().canonical_edges()
-        if len(set(edge_w)) == len(edge_w):
-            # distinct weights (the standard assumption): one stable argsort
-            # of the CSR weight column populates every node's scan list in
-            # (weight, repr) order — the same order sorted_incident_links
-            # produces — and both reverse positions are known at append
-            # time.  CSR slots are exactly this enumeration's indices, so
-            # the scan build never hashes a node or edge key at all.
-            for j in sorted(range(len(edge_w)), key=edge_w.__getitem__):
-                u = edge_u[j]
-                v = edge_v[j]
-                w = edge_w[j]
-                link_back[u].append(len(link_nbr[v]))
-                link_back[v].append(len(link_nbr[u]))
-                link_nbr[u].append(v)
-                link_nbr[v].append(u)
-                link_w[u].append(w)
-                link_w[v].append(w)
-        else:
-            # repeated weights: fall back to the per-node (weight, repr)
-            # sort, then derive the reverse positions
-            for node, entries in sorted_incident_links(self._graph).items():
-                i = index_of[node]
-                link_nbr[i] = [index_of[neighbor] for _, neighbor, _ in entries]
-                link_w[i] = [weight for weight, _, _ in entries]
-            positions: List[Dict[int, int]] = [
-                {neighbor: pos for pos, neighbor in enumerate(neighbors)}
-                for neighbors in link_nbr
-            ]
-            link_back = [
-                [positions[neighbor][i] for neighbor in neighbors]
-                for i, neighbors in enumerate(link_nbr)
-            ]
+        edge_u, edge_v, edge_w = csr.canonical_edges()
+        for j in sorted(range(len(edge_w)), key=edge_w.__getitem__):
+            u = edge_u[j]
+            v = edge_v[j]
+            w = edge_w[j]
+            link_back[u].append(len(link_nbr[v]))
+            link_back[v].append(len(link_nbr[u]))
+            link_nbr[u].append(v)
+            link_nbr[v].append(u)
+            link_w[u].append(w)
+            link_w[v].append(w)
         link_dead: List[bytearray] = [
             bytearray(len(neighbors)) for neighbors in link_nbr
         ]
@@ -267,49 +244,27 @@ class DeterministicPartitioner:
             if active:
                 # ------------- Step 2: minimum outgoing links -------------
                 chosen, step2_busy = self._find_min_outgoing_links(
-                    active, members, sizes, radii, core_arr, nodes,
+                    active, members, sizes, radii, core_arr,
                     link_nbr, link_w, link_back, link_dead, link_pos,
                 )
                 busy += step2_busy
 
                 # ------------- Steps 3-5: colour F and find the MIS -------
-                # F is small (one vertex per active fragment plus targets)
-                # and its colouring/cut is order-sensitive, so it is built
-                # over the original node objects exactly as before
-                # resolve every chosen link's far-side core while the link
-                # endpoints are still indices (no hashing per lookup)
-                if identity:
-                    chosen_links = chosen
-                    target_cores = {
-                        core: core_arr[v] for core, (_, _, v) in chosen.items()
-                    }
-                else:
-                    chosen_links = {
-                        nodes[core]: (weight, nodes[u], nodes[v])
-                        for core, (weight, u, v) in chosen.items()
-                    }
-                    target_cores = {
-                        nodes[core]: nodes[core_arr[v]]
-                        for core, (_, _, v) in chosen.items()
-                    }
-                f_parents, f_edges = self._build_fragment_forest(
-                    chosen_links, target_cores
-                )
+                # F is small (one vertex per active fragment plus targets);
+                # its vertices are core indices, and only the 2-cycle drop
+                # and the colouring identifiers read the node labels
+                f_parents = self._build_fragment_forest(chosen, core_arr, nodes)
                 coloring = three_color_rooted_forest(
-                    f_parents, identifiers=_core_identifiers(f_parents)
+                    f_parents, identifiers=_core_identifiers(f_parents, nodes)
                 )
                 mis = mis_from_three_coloring(f_parents, coloring.colors)
                 coloring_rounds = coloring.communication_rounds + mis.communication_rounds
                 # each colouring round is a core-to-core exchange routed over
                 # the fragment branches: O(max radius) time, and at most one
                 # relay message per node of every fragment involved in F
-                f_vertex_idx = (
-                    list(f_parents) if identity
-                    else [index_of[core] for core in f_parents]
-                )
-                involved_nodes = sum(sizes[i] for i in f_vertex_idx)
+                involved_nodes = sum(sizes[i] for i in f_parents)
                 max_involved_radius = max(
-                    (radii[i] for i in f_vertex_idx), default=0
+                    (radii[i] for i in f_parents), default=0
                 )
                 busy += coloring_rounds * (2 * max_involved_radius + 1)
                 self._metrics.record_messages(coloring_rounds * involved_nodes)
@@ -317,9 +272,8 @@ class DeterministicPartitioner:
                 # ------------- Step 6: cut F at the MIS and merge ----------
                 merge_busy = self._merge_groups(
                     f_parents,
-                    f_edges,
+                    chosen,
                     mis.independent_set,
-                    index_of,
                     parent_idx,
                     core_arr,
                     members,
@@ -333,9 +287,7 @@ class DeterministicPartitioner:
                 coloring_rounds = 0
 
             # ---------------- phase synchronization ----------------------
-            charged = busy
-            if self._synchronized:
-                charged = max(busy, 5 * (2 ** phase) * log_star_n)
+            charged = max(busy, 5 * (2 ** phase) * log_star_n)
             self._metrics.record_round(charged)
             busy_total += busy
 
@@ -353,15 +305,23 @@ class DeterministicPartitioner:
             )
 
         self._metrics.set_phase(None)
-        # translate the index-space state back to node-keyed maps in graph
-        # iteration order (the order the historical dict-based state kept)
-        parents: Dict[NodeId, Optional[NodeId]] = {}
-        core_of: Dict[NodeId, NodeId] = {}
+        # translate the index-space state into node-keyed fragments: group
+        # by core in node order, so fragments appear in the order of their
+        # first member and each parent map follows graph iteration order
+        fragment_parents: Dict[int, Dict[NodeId, Optional[NodeId]]] = {}
         for i, node in enumerate(nodes):
             parent = parent_idx[i]
-            parents[node] = nodes[parent] if parent >= 0 else None
-            core_of[node] = nodes[core_arr[i]]
-        forest = _forest_from_state(parents, core_of)
+            core = core_arr[i]
+            group = fragment_parents.get(core)
+            if group is None:
+                group = fragment_parents[core] = {}
+            group[node] = nodes[parent] if parent >= 0 else None
+        forest = SpanningForest(
+            [
+                Fragment(core=nodes[core], parents=group)
+                for core, group in fragment_parents.items()
+            ]
+        )
         return DeterministicPartitionResult(
             forest=forest,
             metrics=self._metrics.snapshot(),
@@ -380,17 +340,16 @@ class DeterministicPartitioner:
         sizes: Dict[int, int],
         radii: Dict[int, int],
         core_arr: List[int],
-        nodes: List[NodeId],
         link_nbr: List[List[int]],
         link_w: List[List[float]],
         link_back: List[List[int]],
         link_dead: List[bytearray],
         link_pos: List[int],
-    ) -> Tuple[Dict[int, Tuple[float, int, int]], int]:
+    ) -> Tuple[Dict[int, Tuple[int, int]], int]:
         """Return each active core's chosen link and the rounds the step takes.
 
-        The chosen link is ``(weight, u, v)`` with ``u`` inside the fragment
-        and ``v`` outside (all three in index space).  Per the GHS
+        The chosen link is ``(u, v)`` with ``u`` inside the fragment and
+        ``v`` outside (both node indices).  Per the GHS
         discipline, every node scans its incident links in increasing weight
         order, testing each link not yet rejected; internal links are
         rejected permanently (2 messages each, charged once over the whole
@@ -407,7 +366,7 @@ class DeterministicPartitioner:
         busy += max_active_radius
         self._metrics.record_messages(sum(sizes[c] - 1 for c in active))
 
-        chosen: Dict[int, Tuple[float, int, int]] = {}
+        chosen: Dict[int, Tuple[int, int]] = {}
         max_tests = 0
         total_tests = 0
         for core in active:
@@ -433,18 +392,7 @@ class DeterministicPartitioner:
                         index += 1
                         continue
                     weight = weights[index]
-                    # distinct weights decide almost always; the node-object
-                    # tie-break preserves the historical (weight, u, v)
-                    # tuple comparison on graphs with repeated weights
-                    if (
-                        best_w is None
-                        or weight < best_w
-                        or (
-                            weight == best_w
-                            and (nodes[node], nodes[neighbor])
-                            < (nodes[best_u], nodes[best_v])
-                        )
-                    ):
+                    if best_w is None or weight < best_w:
                         best_w, best_u, best_v = weight, node, neighbor
                     break
                 link_pos[node] = index
@@ -452,7 +400,7 @@ class DeterministicPartitioner:
                 if tests > max_tests:
                     max_tests = tests
             if best_w is not None:
-                chosen[core] = (best_w, best_u, best_v)
+                chosen[core] = (best_u, best_v)
         self._metrics.record_messages(2 * total_tests)
         # substep 2 time: sequential testing, nodes in parallel
         busy += 2 * max_tests
@@ -466,55 +414,48 @@ class DeterministicPartitioner:
     # ------------------------------------------------------------------
     def _build_fragment_forest(
         self,
-        chosen_links: Dict[NodeId, Tuple[float, NodeId, NodeId]],
-        target_cores: Dict[NodeId, NodeId],
-    ) -> Tuple[Dict[NodeId, Optional[NodeId]], Dict[NodeId, Tuple[NodeId, NodeId]]]:
-        """Return the rooted fragment forest F and each F-edge's physical link.
+        chosen: Dict[int, Tuple[int, int]],
+        core_arr: List[int],
+        nodes: Sequence[NodeId],
+    ) -> Dict[int, Optional[int]]:
+        """Return the rooted fragment forest F as a parent map over core indices.
 
-        Vertices of F are fragment cores (node objects; ``target_cores``
-        maps each choosing core to the core on the far side of its chosen
-        link).  Every active fragment has one outgoing F-edge (to the
-        fragment on the other side of its chosen link); the single cycle
-        that can arise when two fragments choose the same link is broken at
-        the higher-core-id fragment, exactly as in the paper.
+        Every active fragment has one outgoing F-edge, to the core
+        ``core_arr`` gives for the far side of its chosen link; the single
+        cycle that can arise when two fragments choose the same link is
+        broken at the fragment whose core label is larger by ``repr``,
+        exactly as in the paper.  Each remaining F-edge's physical link is
+        its child's entry in ``chosen``.
         """
-        out_edge: Dict[NodeId, NodeId] = {}
-        physical: Dict[NodeId, Tuple[NodeId, NodeId]] = {}
-        vertices: Set[NodeId] = set()
-        for core, (_, u, v) in chosen_links.items():
-            target = target_cores[core]
+        out_edge: Dict[int, int] = {}
+        vertices: Set[int] = set()
+        for core, (_, v) in chosen.items():
+            target = core_arr[v]
             out_edge[core] = target
-            physical[core] = (u, v)
             vertices.add(core)
             vertices.add(target)
 
         # break 2-cycles (both fragments chose the same connecting link);
-        # the dropped side (max by repr) is the same whichever endpoint is
-        # visited first, so a snapshot of the keys is order-enough
+        # the dropped side is the same whichever endpoint is visited first,
+        # so a snapshot of the keys is order-enough
         for core in list(out_edge):
             target = out_edge.get(core)
             if target is None:
                 continue
             if out_edge.get(target) == core:
-                drop = max(core, target, key=repr)
-                if drop in out_edge:
-                    del out_edge[drop]
-                    del physical[drop]
+                drop = max(core, target, key=lambda i: repr(nodes[i]))
+                out_edge.pop(drop, None)
 
-        f_parents: Dict[NodeId, Optional[NodeId]] = {
-            vertex: out_edge.get(vertex) for vertex in vertices
-        }
-        return f_parents, physical
+        return {vertex: out_edge.get(vertex) for vertex in vertices}
 
     # ------------------------------------------------------------------
     # Step 6: merge the fragments of every subtree of the cut forest
     # ------------------------------------------------------------------
     def _merge_groups(
         self,
-        f_parents: Dict[NodeId, Optional[NodeId]],
-        f_edges: Dict[NodeId, Tuple[NodeId, NodeId]],
-        independent_set: Set[NodeId],
-        index_of: Dict[NodeId, int],
+        f_parents: Dict[int, Optional[int]],
+        chosen: Dict[int, Tuple[int, int]],
+        independent_set: Set[int],
         parent_idx: List[int],
         core_arr: List[int],
         members: Dict[int, List[int]],
@@ -525,7 +466,8 @@ class DeterministicPartitioner:
     ) -> int:
         """Cut F at red internal vertices and merge each resulting subtree.
 
-        Returns the step's busy rounds.  The index-space fragment
+        F's vertices are core indices, and ``chosen`` gives the physical link
+        ``(u, v)`` under every F-edge.  Returns the step's busy rounds.  The fragment
         bookkeeping (``members``/``sizes``/``radii``/``first_pos``) and the
         per-node ``depths`` are updated in place for exactly the fragments a
         merge touches; untouched fragments keep their existing entries, so
@@ -540,9 +482,9 @@ class DeterministicPartitioner:
                 cut_parents[vertex] = None
 
         # group the fragments by the root of their subtree in the cut forest
-        group_of: Dict[NodeId, NodeId] = {}
+        group_of: Dict[int, int] = {}
 
-        def find_group(vertex: NodeId) -> NodeId:
+        def find_group(vertex: int) -> int:
             """Return ``vertex``'s cut-forest root, path-caching the chain."""
             chain = []
             current = vertex
@@ -558,7 +500,7 @@ class DeterministicPartitioner:
                 group_of[member] = root
             return root
 
-        groups: Dict[NodeId, List[NodeId]] = {}
+        groups: Dict[int, List[int]] = {}
         for vertex in f_parents:
             groups.setdefault(find_group(vertex), []).append(vertex)
 
@@ -566,7 +508,6 @@ class DeterministicPartitioner:
         for group_root, group_vertices in groups.items():
             if len(group_vertices) == 1:
                 continue
-            root_idx = index_of[group_root]
             # splice every non-root fragment of the group onto its F-parent
             # via the selected physical link, re-rooting it at the link's
             # inside endpoint (this is the distributed "merge broadcast")
@@ -575,33 +516,30 @@ class DeterministicPartitioner:
             for vertex in group_vertices:
                 if vertex == group_root:
                     continue
-                u, v = f_edges[vertex]
-                u_idx = index_of[u]
-                _reroot_indexed(parent_idx, u_idx)
-                parent_idx[u_idx] = index_of[v]
-                vertex_idx = index_of[vertex]
-                vertex_radius = radii[vertex_idx]
+                u, v = chosen[vertex]
+                _reroot_indexed(parent_idx, u)
+                parent_idx[u] = v
+                vertex_radius = radii[vertex]
                 if vertex_radius > reroot_radius:
                     reroot_radius = vertex_radius
-                spliced_nodes += sizes[vertex_idx]
+                spliced_nodes += sizes[vertex]
             # one broadcast over every spliced fragment performs the
             # re-rooting and the new-core announcement
             self._metrics.record_messages(2 * spliced_nodes)
             new_members: List[int] = []
-            new_first = first_pos[root_idx]
+            new_first = first_pos[group_root]
             for vertex in group_vertices:
-                vertex_idx = index_of[vertex]
-                new_members.extend(members[vertex_idx])
-                vertex_first = first_pos[vertex_idx]
+                new_members.extend(members[vertex])
+                vertex_first = first_pos[vertex]
                 if vertex_first < new_first:
                     new_first = vertex_first
-                if vertex_idx != root_idx:
-                    del members[vertex_idx]
-                    del sizes[vertex_idx]
-                    del radii[vertex_idx]
-                    del first_pos[vertex_idx]
+                if vertex != group_root:
+                    del members[vertex]
+                    del sizes[vertex]
+                    del radii[vertex]
+                    del first_pos[vertex]
             for node in new_members:
-                core_arr[node] = root_idx
+                core_arr[node] = group_root
             # the new-core announcement travels to the whole merged fragment
             self._metrics.record_messages(len(new_members))
             # re-walk just the merged tree to refresh depths and obtain its
@@ -611,7 +549,7 @@ class DeterministicPartitioner:
             # walked once, with no children index to build
             for node in new_members:
                 depths[node] = -1
-            depths[root_idx] = 0
+            depths[group_root] = 0
             new_radius = 0
             for node in new_members:
                 if depths[node] >= 0:
@@ -633,10 +571,10 @@ class DeterministicPartitioner:
             # whichever member scans first pays the test, and the per-node
             # test counts feed the busy-rounds accounting
             new_members.sort()
-            members[root_idx] = new_members
-            sizes[root_idx] = len(new_members)
-            radii[root_idx] = new_radius
-            first_pos[root_idx] = new_first
+            members[group_root] = new_members
+            sizes[group_root] = len(new_members)
+            radii[group_root] = new_radius
+            first_pos[group_root] = new_first
             group_busy = 2 * reroot_radius + new_radius + 1
             if group_busy > busy:
                 busy = group_busy
@@ -663,36 +601,16 @@ def _reroot_indexed(parent_idx: List[int], new_root: int) -> None:
     parent_idx[new_root] = -1
 
 
-def _members_by_core(core_of: Dict[NodeId, NodeId]) -> Dict[NodeId, List[NodeId]]:
-    members: Dict[NodeId, List[NodeId]] = {}
-    for node, core in core_of.items():
-        try:
-            members[core].append(node)
-        except KeyError:
-            members[core] = [node]
-    return members
-
-
-def _core_identifiers(f_parents: Dict[NodeId, Optional[NodeId]]) -> Dict[NodeId, int]:
+def _core_identifiers(
+    f_parents: Dict[int, Optional[int]], nodes: Sequence[NodeId]
+) -> Dict[int, int]:
     """Assign distinct integer identifiers to the vertices of F.
 
-    Fragment cores are network nodes; when they are integers they are used
-    directly (they are distinct), otherwise a deterministic enumeration by
-    ``repr`` order is used.
+    Fragment cores are network nodes; when their labels are integers they
+    are used directly (they are distinct), otherwise the cores are ranked by
+    the ``repr`` of their labels.
     """
-    if all(isinstance(core, int) for core in f_parents):
-        return {core: int(core) for core in f_parents}
-    ordered = sorted(f_parents, key=repr)
-    return {core: index for index, core in enumerate(ordered)}
-
-
-def _forest_from_state(
-    parents: Dict[NodeId, Optional[NodeId]],
-    core_of: Dict[NodeId, NodeId],
-) -> SpanningForest:
-    members = _members_by_core(core_of)
-    fragments = []
-    for core, nodes in members.items():
-        fragment_parents = {node: parents[node] for node in nodes}
-        fragments.append(Fragment(core=core, parents=fragment_parents))
-    return SpanningForest(fragments)
+    if all(isinstance(nodes[core], int) for core in f_parents):
+        return {core: int(nodes[core]) for core in f_parents}
+    ordered = sorted(f_parents, key=lambda core: repr(nodes[core]))
+    return {core: rank for rank, core in enumerate(ordered)}

@@ -48,6 +48,7 @@ import random
 from repro.core.partition.forest import SpanningForest
 from repro.protocols.collision.base import run_contention
 from repro.protocols.collision.metcalfe_boggs import MetcalfeBoggsContender
+from repro.sim.errors import ProtocolError
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.topology.graph import WeightedGraph
 from repro.topology.properties import is_connected
@@ -465,7 +466,8 @@ class RandomizedPartitioner:
             outcome = run_contention(
                 contenders, max_slots=budget, metrics=self._metrics
             )
-        except Exception:
+        except ProtocolError:
+            # the slot budget ran out: the verification failed
             self._metrics.set_phase(None)
             return False
         self._metrics.set_phase(None)

@@ -32,6 +32,7 @@ from repro.protocols.collision.greenberg_ladner import (
     MultiplicityEstimate,
     estimate_multiplicity,
 )
+from repro.sim.errors import ProtocolError
 from repro.sim.metrics import MetricsRecorder, MetricsSnapshot
 from repro.topology.graph import WeightedGraph
 from repro.topology.weights import assign_distinct_weights
@@ -107,7 +108,8 @@ def compute_size_deterministically(
             scheduling_slots = outcome.slots_used
             recorder.set_phase(None)
             break
-        except Exception:
+        except ProtocolError:
+            # the schedule did not fit the budget: try the next exponent
             recorder.set_phase(None)
             forest = None
             continue

@@ -11,9 +11,9 @@ any spec at any preset through a pluggable execution backend
 (:mod:`repro.experiments.executors` — serial, process-pool, or
 sharded/checkpointed with resume) and its results render to the historical
 plain-text tables recorded in EXPERIMENTS.md and serialize to JSON.
-``python -m repro`` (see :mod:`repro.cli`) is the command-line entry point;
-the benchmark trajectory (:mod:`repro.experiments.trajectory`) and the
-pytest benches under ``benchmarks/`` drive the same registry.
+``python -m repro`` (see :mod:`repro.cli`) is the command-line entry point,
+and the benchmark trajectory (:mod:`repro.experiments.trajectory`) drives
+the same registry.
 """
 
 from repro.experiments.executors import (

@@ -84,39 +84,43 @@ def is_identity_enumeration(nodes: Sequence[NodeId]) -> bool:
     return all(type(node) is int and node == i for i, node in enumerate(nodes))
 
 
+def has_distinct_weights(graph: "WeightedGraph") -> bool:
+    """True when no two links of ``graph`` share a weight.
+
+    The paper's MST-related algorithms (the partitioners' minimum-outgoing
+    link search, GHS, the multimedia MST) assume distinct weights; this is
+    the one place that decides it, reading the CSR weight column once per
+    undirected edge.
+    """
+    edge_w = graph.csr().canonical_edges()[2]
+    return len(set(edge_w)) == len(edge_w)
+
+
 def sorted_incident_links(
     graph: "WeightedGraph",
 ) -> Dict[NodeId, List[Tuple[float, NodeId, Tuple[NodeId, NodeId]]]]:
     """Return every node's incident links as ``(weight, neighbour, edge key)``
-    triples in increasing ``(weight, repr(neighbour))`` order — the GHS scan
-    order, with the canonical key precomputed once per physical link.
+    triples in increasing weight order — the GHS scan order, with the
+    canonical key precomputed once per physical link.
 
-    With globally distinct weights (the standard assumption of the MST
-    algorithms) a single global edge sort populates every node's list, which
-    is substantially cheaper than one sort per node; graphs with repeated
-    weights fall back to per-node sorts with the repr tie-break.
+    One global sort of the distinct weights populates every node's list.
+
+    Raises:
+        ValueError: if two links share a weight.
     """
+    if not has_distinct_weights(graph):
+        raise ValueError("link weights must be distinct; use assign_distinct_weights()")
     links: Dict[NodeId, List[Tuple[float, NodeId, Tuple[NodeId, NodeId]]]] = {
         node: [] for node in graph.nodes()
     }
     csr = graph.csr()
     edge_u, edge_v, edge_w = csr.canonical_edges()
-    if len(set(edge_w)) == len(edge_w):
-        nodes = csr.nodes
-        for j in sorted(range(len(edge_w)), key=edge_w.__getitem__):
-            u, v, w = nodes[edge_u[j]], nodes[edge_v[j]], edge_w[j]
-            key = edge_key(u, v)
-            links[u].append((w, v, key))
-            links[v].append((w, u, key))
-    else:
-        for node in links:
-            links[node] = sorted(
-                (
-                    (w, v, edge_key(node, v))
-                    for v, w in graph.neighbor_items(node)
-                ),
-                key=lambda item: (item[0], repr(item[1])),
-            )
+    nodes = csr.nodes
+    for j in sorted(range(len(edge_w)), key=edge_w.__getitem__):
+        u, v, w = nodes[edge_u[j]], nodes[edge_v[j]], edge_w[j]
+        key = edge_key(u, v)
+        links[u].append((w, v, key))
+        links[v].append((w, u, key))
     return links
 
 

@@ -1,10 +1,12 @@
 """Smoke tests for the experiment harness: every experiment runs end to end on
 tiny instances (through the spec registry and unified runner) and reproduces
-the paper's qualitative claims."""
+the paper's qualitative claims, and e1–e11 also hold them at the ``default``
+preset the benchmark trajectory records."""
 
 import pytest
 
 from repro.experiments import harness
+from repro.experiments.registry import DEFAULT_PRESET
 from repro.experiments.runner import run_experiment
 
 
@@ -130,3 +132,86 @@ class TestExperimentsProduceRows:
         row = result.rows[0]
         assert row["sync_msg_overhead(≤2)"] <= 2.0 + 1e-9
         assert row["det_size_exact"] is True
+
+
+# ---------------------------------------------------------------------------
+# the registered ``default`` preset of every e1–e11 experiment: the exact
+# workload the benchmark trajectory records, checked against the claim each
+# experiment reproduces (~1 s for all eleven)
+# ---------------------------------------------------------------------------
+def _check_e1(rows):
+    assert all(row["all_bounds_hold"] for row in rows)
+
+
+def _check_e2(rows):
+    # the measured/bound ratios stay within a constant band
+    assert all(row["rounds/bound"] < 50 for row in rows)
+
+
+def _check_e3(rows):
+    assert all(row["structure_ok"] for row in rows)
+
+
+def _check_e4(rows):
+    assert all(row["total_restarts"] <= 3 for row in rows)
+
+
+def _check_e5(rows):
+    assert all(row["value_correct"] for row in rows)
+
+
+def _check_e6(rows):
+    assert all(row["values_correct"] for row in rows)
+
+
+def _check_e7(rows):
+    # at the largest size the multimedia network beats both single media
+    assert rows[-1]["speedup_vs_p2p"] > 1.0
+    assert rows[-1]["speedup_vs_channel"] > 1.0
+
+
+def _check_e8(rows):
+    assert all(row["lb ≤ measured"] for row in rows)
+
+
+def _check_e9(rows):
+    # exact MST everywhere, and the channel pays off at the largest size
+    assert all(row["matches_kruskal"] for row in rows)
+    assert rows[-1]["speedup"] > 1.0
+
+
+def _check_e10(rows):
+    for row in rows:
+        assert row["sync_msg_overhead(≤2)"] <= 2.0 + 1e-9  # Corollary 4
+        assert row["det_size_exact"] is True               # Section 7.3
+
+
+def _check_e11(rows):
+    for row in rows:
+        # every row is bounded: a medium either completes or reports "abort"
+        assert row["status"] in ("ok", "abort:multimedia", "abort:p2p", "abort:both")
+        assert isinstance(row["faults_injected"], int)
+        if row["adversity"] != "crash":
+            assert row["rounds_lost"] == 0  # only crash windows cost recovery rounds
+
+
+DEFAULT_PRESET_CHECKS = {
+    "e1": _check_e1,
+    "e2": _check_e2,
+    "e3": _check_e3,
+    "e4": _check_e4,
+    "e5": _check_e5,
+    "e6": _check_e6,
+    "e7": _check_e7,
+    "e8": _check_e8,
+    "e9": _check_e9,
+    "e10": _check_e10,
+    "e11": _check_e11,
+}
+
+
+@pytest.mark.parametrize("experiment_id", list(DEFAULT_PRESET_CHECKS))
+def test_default_preset_reproduces_the_claim(experiment_id):
+    result = run_experiment(experiment_id, preset=DEFAULT_PRESET)
+    assert result.rows
+    DEFAULT_PRESET_CHECKS[experiment_id](result.rows)

@@ -19,6 +19,7 @@ from repro.core.global_function.semigroup import (
 )
 from repro.core.partition.deterministic import DeterministicPartitioner
 from repro.topology.generators import ring_graph
+from repro.topology.graph import has_distinct_weights
 from repro.topology.weights import assign_distinct_weights
 
 
@@ -104,6 +105,23 @@ class TestMultimediaComputation:
             method="deterministic", tightened_balance=True, seed=1,
         )
         assert result.value == 2 * medium_grid.num_nodes()
+
+    def test_repeated_weights_are_made_distinct(self):
+        # the partitioner rejects repeated weights, so the deterministic
+        # method assigns distinct ones itself, seeded like the rest of the run
+        graph = ring_graph(30)
+        assert not has_distinct_weights(graph)
+        inputs = {node: node for node in graph.nodes()}
+        result = compute_global_function(
+            graph, INTEGER_ADDITION, inputs, method="deterministic", seed=4
+        )
+        assert result.value == sum(inputs.values())
+        distinct = compute_global_function(
+            assign_distinct_weights(graph, seed=4), INTEGER_ADDITION, inputs,
+            method="deterministic", seed=4,
+        )
+        assert result.total_rounds == distinct.total_rounds
+        assert result.num_fragments == distinct.num_fragments
 
     def test_unknown_method_rejected(self, small_grid):
         with pytest.raises(ValueError):

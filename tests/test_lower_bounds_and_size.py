@@ -12,10 +12,12 @@ from repro.core.lower_bounds import (
     multimedia_upper_bound_randomized,
     point_to_point_lower_bound,
 )
+from repro.core import size_estimation
 from repro.core.size_estimation import (
     compute_size_deterministically,
     estimate_size_randomized,
 )
+from repro.sim.errors import ProtocolError
 from repro.topology.generators import grid_graph, ray_graph, ring_graph
 from repro.topology.properties import diameter
 
@@ -85,6 +87,32 @@ class TestSizeComputation:
         graph = ring_graph(30)
         result = compute_size_deterministically(graph, seed=2)
         assert result.n == 30
+
+    def test_deterministic_size_only_absorbs_budget_exhaustion(self, monkeypatch):
+        # a bug inside the contention must surface, not raise the exponent
+        def broken(*args, **kwargs):
+            raise TypeError("bug inside contention")
+
+        monkeypatch.setattr(size_estimation, "run_contention", broken)
+        with pytest.raises(TypeError, match="bug inside contention"):
+            compute_size_deterministically(grid_graph(6, 6), seed=1)
+
+    def test_exhausted_schedule_tries_the_next_exponent(self, monkeypatch):
+        baseline = compute_size_deterministically(grid_graph(6, 6), seed=1)
+        real = size_estimation.run_contention
+        calls = []
+
+        def exhaust_previous(*args, **kwargs):
+            # also exhaust the exponent that succeeded unpatched
+            calls.append(1)
+            if len(calls) <= baseline.phases_used:
+                raise ProtocolError("contention did not resolve")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(size_estimation, "run_contention", exhaust_previous)
+        result = compute_size_deterministically(grid_graph(6, 6), seed=1)
+        assert result.n == 36
+        assert result.phases_used == baseline.phases_used + 1
 
     def test_randomized_estimate_reasonable(self):
         graph = grid_graph(10, 10)

@@ -113,9 +113,13 @@ class TestComplexity:
         result = partition(medium_grid)
         assert result.metrics.rounds >= result.busy_rounds
 
-    def test_unsynchronized_mode_charges_busy_time_only(self, medium_grid):
-        result = partition(medium_grid, synchronized_phases=False)
-        assert result.metrics.rounds == result.busy_rounds
+    def test_phase_records_add_up_to_the_totals(self, medium_grid):
+        # the padded (charged) and unpadded (busy) time are both reported,
+        # overall and per phase
+        result = partition(medium_grid)
+        assert result.metrics.rounds == sum(p.charged_rounds for p in result.phases)
+        assert result.busy_rounds == sum(p.busy_rounds for p in result.phases)
+        assert all(p.charged_rounds >= p.busy_rounds for p in result.phases)
 
     def test_phase_count_is_logarithmic(self, medium_grid):
         result = partition(medium_grid)
@@ -142,6 +146,15 @@ class TestTargetSize:
         with pytest.raises(ValueError):
             DeterministicPartitioner(disconnected)
 
+    def test_repeated_weights_rejected(self):
+        graph = WeightedGraph()
+        graph.add_edge(0, 1, 1.0)
+        graph.add_edge(1, 2, 1.0)
+        with pytest.raises(ValueError, match="link weights must be distinct"):
+            DeterministicPartitioner(graph)
+        # the usual remedy makes the same graph acceptable
+        assert partition(assign_distinct_weights(graph, seed=1)).num_fragments >= 1
+
     def test_determinism(self, medium_grid):
         first = partition(medium_grid)
         second = partition(medium_grid)
@@ -150,9 +163,10 @@ class TestTargetSize:
 
 
 class TestNonIntegerNodes:
-    """The hot loops index nodes 0..n-1; when the graph's own labels are NOT
-    that enumeration (the `identity` fast path is off), the general
-    translation path must produce an equally valid, deterministic result."""
+    """The partitioner runs on the CSR slot indices whatever the labels are;
+    graphs whose labels are not ``0..n-1`` must still get a valid,
+    deterministic forest keyed by their own labels (the exact forests are
+    pinned by ``test_partition_label_fingerprints.py``)."""
 
     def _relabeled_grid(self):
         graph = assign_distinct_weights(grid_graph(8, 8), seed=11)
@@ -181,11 +195,13 @@ class TestNonIntegerNodes:
             == second.metrics.point_to_point_messages
         )
 
-    def test_float_labels_do_not_take_identity_fast_path(self):
-        # 2.0 == 2 compares equal to its index but is not usable as one;
-        # the identity fast path must reject it and the general path run
+    def test_float_labels_key_the_forest(self):
+        # 2.0 == 2 compares equal to its index, but the forest must carry
+        # the graph's own float labels, not the slot indices
         graph = assign_distinct_weights(grid_graph(4, 4), seed=11)
         floats = graph.relabeled({node: float(node) for node in graph.nodes()})
         result = partition(floats)
         report = validate_partition(result.forest, floats, check_mst_subtrees=True)
         assert report.ok, report.violations
+        assert all(type(node) is float for node in result.forest.parent_map())
+        assert all(type(core) is float for core in result.forest.cores)

@@ -5,6 +5,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.partition import randomized
 from repro.core.partition.randomized import (
     RandomizedPartitioner,
     escalation_sequence,
@@ -12,6 +13,7 @@ from repro.core.partition.randomized import (
 )
 from repro.core.partition.validation import validate_partition
 from repro.topology.generators import grid_graph, ring_graph
+from repro.sim.errors import ProtocolError
 from repro.topology.graph import WeightedGraph
 
 
@@ -114,6 +116,30 @@ class TestLasVegas:
         result = RandomizedPartitioner(medium_grid, seed=4, las_vegas=False).run()
         assert result.verified is False
         assert result.restarts == 0
+
+    def test_verification_only_absorbs_budget_exhaustion(self, medium_grid, monkeypatch):
+        # a bug inside the contention must surface, not turn into a restart
+        def broken(*args, **kwargs):
+            raise TypeError("bug inside contention")
+
+        monkeypatch.setattr(randomized, "run_contention", broken)
+        with pytest.raises(TypeError, match="bug inside contention"):
+            RandomizedPartitioner(medium_grid, seed=2, las_vegas=True).run()
+
+    def test_exhausted_verification_budget_restarts(self, medium_grid, monkeypatch):
+        real = randomized.run_contention
+        calls = []
+
+        def exhaust_first(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise ProtocolError("contention did not resolve")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(randomized, "run_contention", exhaust_first)
+        result = RandomizedPartitioner(medium_grid, seed=2, las_vegas=True).run()
+        assert result.verified
+        assert result.restarts >= 1
 
 
 class TestNonIntegerNodes:

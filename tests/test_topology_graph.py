@@ -4,7 +4,13 @@ import functools
 
 import pytest
 
-from repro.topology.graph import Edge, WeightedGraph, edge_key, sorted_incident_links
+from repro.topology.graph import (
+    Edge,
+    WeightedGraph,
+    edge_key,
+    has_distinct_weights,
+    sorted_incident_links,
+)
 
 
 @functools.total_ordering
@@ -321,10 +327,27 @@ class TestSortedIncidentLinks:
         # the canonical key rides along with every link
         assert links[0][0][2] == edge_key(0, 2)
 
-    def test_duplicate_weights_break_ties_by_repr(self):
+    def test_repeated_weights_rejected(self):
         graph = WeightedGraph()
         graph.add_edge(0, 10, 1.0)
         graph.add_edge(0, 2, 1.0)
-        links = sorted_incident_links(graph)
-        # repr order: "10" < "2"
-        assert [v for _, v, _ in links[0]] == [10, 2]
+        with pytest.raises(ValueError, match="link weights must be distinct"):
+            sorted_incident_links(graph)
+
+
+class TestHasDistinctWeights:
+    def test_distinct_and_repeated(self):
+        graph = WeightedGraph()
+        graph.add_edge(0, 1, 1.0)
+        graph.add_edge(1, 2, 2.0)
+        assert has_distinct_weights(graph)
+        graph.add_edge(2, 0, 1.0)
+        assert not has_distinct_weights(graph)
+        graph.set_weight(2, 0, 3.0)
+        assert has_distinct_weights(graph)
+
+    def test_edgeless_graphs_count_as_distinct(self):
+        graph = WeightedGraph()
+        assert has_distinct_weights(graph)
+        graph.add_node("a")
+        assert has_distinct_weights(graph)
